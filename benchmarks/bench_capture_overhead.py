@@ -45,7 +45,7 @@ def _record(**fields) -> None:
     _results.update(fields)
     path = os.environ.get("BENCH_JSON")
     if path:
-        payload = {"experiment": "E1-capture",
+        payload = {"experiment": "E1-capture", "host_cpus": os.cpu_count(),
                    "modules": HIGH_RATE_MODULES, **_results}
         with open(path, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)

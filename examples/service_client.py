@@ -78,7 +78,9 @@ with ProvenanceClient.connect(address) as query:
     for row in rows:
         print(f"  {row['module_name']:12s} {row['id']}")
 
-    product = run.final_artifacts()[0]
+    # a data product derived from inputs, not a source's unconsumed output
+    product = next(artifact for artifact in run.final_artifacts()
+                   if run.execution(artifact.created_by).inputs)
     upstream = query.lineage_closure(product.value_hash, direction="up")
     print(f"\nfinal artifact {product.id} derives from "
           f"{len(upstream) - 1} upstream values (cross-shard walk)")

@@ -424,7 +424,13 @@ def _cmd_lineage(args: argparse.Namespace) -> int:
                  if binding.artifact_id in consumed),
                 last.final_artifacts()[0].value_hash)
         else:
-            key = last.final_artifacts()[0].value_hash
+            # ancestry demo: a data product some stage derived from its
+            # inputs (ids are time-ordered, so the first final artifact is
+            # the earliest, which may be a source's unconsumed output)
+            products = last.final_artifacts()
+            key = next((artifact.value_hash for artifact in products
+                        if last.execution(artifact.created_by).inputs),
+                       products[0].value_hash)
     direction = "down" if args.down else "up"
     rows = manager.lineage(key, direction=direction,
                            max_depth=args.depth or None)

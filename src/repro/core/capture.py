@@ -36,7 +36,8 @@ import time
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import (Any, Callable, Deque, Dict, List, Optional, Set,
+                    Tuple)
 
 from repro.core.prospective import ProspectiveProvenance
 from repro.core.retrospective import (DataArtifact, ModuleExecution,
@@ -143,15 +144,21 @@ def run_from_result(result: RunResult, *,
     artifacts: Dict[str, DataArtifact] = {}
     values: Dict[str, Any] = {}
     by_hash: Dict[str, str] = {}
+    # membership beside each artifact's also_produced_by list, which keeps
+    # first-seen order: many producers of one hash (a pass-through chain)
+    # would otherwise make the list test quadratic
+    co_producers: Dict[str, Set[str]] = {}
 
     def artifact_for(value_hash: str, value: Any, type_name: str,
                      created_by: str, role: str) -> str:
         existing_id = by_hash.get(value_hash)
         if existing_id is not None:
             existing = artifacts[existing_id]
-            if (created_by and created_by != existing.created_by
-                    and created_by not in existing.also_produced_by):
-                existing.also_produced_by.append(created_by)
+            if created_by and created_by != existing.created_by:
+                seen = co_producers.setdefault(existing_id, set())
+                if created_by not in seen:
+                    seen.add(created_by)
+                    existing.also_produced_by.append(created_by)
             return existing_id
         artifact_id = new_id("art")
         artifacts[artifact_id] = DataArtifact(

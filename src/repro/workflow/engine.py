@@ -393,18 +393,31 @@ class Executor:
         """
         while True:
             self._heartbeat_stop.wait(_HEARTBEAT_INTERVAL)
-            with self._lease_lock:
-                if not self._held_leases:
-                    self._heartbeat = None
-                    self._heartbeat_stop.clear()
-                    return
+            if not self._heartbeat_tick():
+                return
+
+    def _heartbeat_tick(self) -> bool:
+        """Refresh every held lease; False (and the heartbeat detaches)
+        once none is held.
+
+        The refresh runs under ``_lease_lock``: :meth:`_release_lease`
+        drops a lease from the held set under the same lock before it
+        releases it in the cache, so a refresh can never land after the
+        release and revive the lease for a whole TTL (which would make
+        the next run that misses on that key wait the TTL out).
+        """
+        with self._lease_lock:
+            if not self._held_leases:
+                self._heartbeat = None
                 self._heartbeat_stop.clear()
-                held = list(self._held_leases.items())
-            for (cache_key, owner), cache in held:
+                return False
+            self._heartbeat_stop.clear()
+            for (cache_key, owner), cache in self._held_leases.items():
                 try:
                     cache.acquire_lease(cache_key, owner)
                 except Exception:
                     pass  # a broken cache already grants every lease
+            return True
 
     def add_listener(self, listener: ExecutionListener) -> None:
         """Attach an additional execution listener."""

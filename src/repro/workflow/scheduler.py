@@ -40,7 +40,7 @@ matter how large the artifacts are.
 
 from __future__ import annotations
 
-import bisect
+import heapq
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor, Future,
                                 ProcessPoolExecutor, ThreadPoolExecutor)
 from concurrent.futures import wait as futures_wait
@@ -75,21 +75,24 @@ class ReadySetScheduler:
     """
 
     def __init__(self, workflow: Workflow) -> None:
-        self._remaining: Dict[str, int] = {
-            module_id: len(workflow.predecessors(module_id))
-            for module_id in workflow.modules}
-        self._dependents: Dict[str, List[str]] = {
-            module_id: workflow.successors(module_id)
-            for module_id in workflow.modules}
-        self._ready: List[str] = sorted(
-            m for m, count in self._remaining.items() if count == 0)
+        # the dependents table comes from the workflow's cached Kahn pass
+        # (a cyclic workflow raises CycleError here)
+        self._dependents: Dict[str, List[str]] = workflow.dependents()
+        self._remaining: Dict[str, int] = dict.fromkeys(workflow.modules, 0)
+        for dependents in self._dependents.values():
+            for dependent in dependents:
+                self._remaining[dependent] += 1
+        # a min-heap of ready ids: pops come out sorted
+        self._ready: List[str] = [
+            m for m, count in self._remaining.items() if count == 0]
+        heapq.heapify(self._ready)
         self._issued: set = set()
         self._resolved: set = set()
 
     # -- state transitions ------------------------------------------------
     def take_ready(self) -> List[str]:
         """Pop and return every currently-ready module id (sorted)."""
-        batch, self._ready = self._ready, []
+        batch, self._ready = sorted(self._ready), []
         self._issued.update(batch)
         return batch
 
@@ -101,7 +104,7 @@ class ReadySetScheduler:
         :meth:`Workflow.topological_order` — the serial engine uses this so
         execution timestamps follow the recorded ``run.order``.
         """
-        module_id = self._ready.pop(0)
+        module_id = heapq.heappop(self._ready)
         self._issued.add(module_id)
         return module_id
 
@@ -122,7 +125,7 @@ class ReadySetScheduler:
         for dependent in self._dependents[module_id]:
             self._remaining[dependent] -= 1
             if self._remaining[dependent] == 0:
-                bisect.insort(self._ready, dependent)
+                heapq.heappush(self._ready, dependent)
                 promoted.append(dependent)
         return promoted
 

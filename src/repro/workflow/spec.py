@@ -13,8 +13,10 @@ the VisTrails change-based provenance model.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.identity import canonical_json, content_hash, new_id
 from repro.workflow.errors import CycleError, SpecError
@@ -65,6 +67,66 @@ class Connection:
         return (self.source_module, self.target_module)
 
 
+class _TrackedDict(dict):
+    """A dict that flags direct writes, so its :class:`Workflow` knows when
+    the derived indexes are stale.
+
+    The workflow's own mutators write through the plain ``dict`` methods,
+    which leave the flag alone, and update the indexes in step.  Any other
+    write (``workflow.connections[key] = ...``, ``del``, ``pop``,
+    ``update``, ...) sets ``stale``, and the next structure query rebuilds
+    the indexes in one pass.  Reads are ordinary dict reads.
+    """
+
+    __slots__ = ("stale",)
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.stale = True
+
+    def __setitem__(self, key: Any, value: Any) -> None:
+        self.stale = True
+        super().__setitem__(key, value)
+
+    def __delitem__(self, key: Any) -> None:
+        self.stale = True
+        super().__delitem__(key)
+
+    def __ior__(self, other: Any) -> "_TrackedDict":
+        self.stale = True
+        return super().__ior__(other)
+
+    def pop(self, *args: Any) -> Any:
+        self.stale = True
+        return super().pop(*args)
+
+    def popitem(self) -> Tuple[Any, Any]:
+        self.stale = True
+        return super().popitem()
+
+    def clear(self) -> None:
+        self.stale = True
+        super().clear()
+
+    def update(self, *args: Any, **kwargs: Any) -> None:
+        self.stale = True
+        super().update(*args, **kwargs)
+
+    def setdefault(self, key: Any, default: Any = None) -> Any:
+        self.stale = True
+        return super().setdefault(key, default)
+
+
+def _tracked(mapping: Dict[str, Any]) -> _TrackedDict:
+    """A stale tracked copy of ``mapping`` (keeping a tracked subclass)."""
+    kind = type(mapping) if isinstance(mapping, _TrackedDict) else _TrackedDict
+    return kind(mapping)
+
+
+#: Index entry of a module no connection touches.
+_NO_EDGES: Mapping[str, Connection] = MappingProxyType({})
+
+
 class Workflow:
     """A mutable dataflow graph of module instances and connections.
 
@@ -72,67 +134,145 @@ class Workflow:
     referentially inconsistent (dangling connections, duplicate ids).  Static
     semantic checks (types, cycles, unbound mandatory ports) live in
     :mod:`repro.workflow.validation`.
+
+    Structure queries cost time proportional to the module's degree, not to
+    the workflow's size: an index maps each module id to the connections
+    touching it (in insertion order, so in- and out-edges and bound target
+    ports are all read from it).  The mutators keep the index up to date;
+    writing to :attr:`modules` or :attr:`connections` directly, or assigning
+    either (which stores a copy of the assigned mapping), marks it stale and
+    the next query rebuilds it in O(V+E).  The Kahn order and the
+    dependents table derived from it are computed once and kept until the
+    structure changes.
     """
 
     def __init__(self, name: str = "workflow",
                  workflow_id: Optional[str] = None) -> None:
         self.id = workflow_id or new_id("wf")
         self.name = name
-        self.modules: Dict[str, Module] = {}
-        self.connections: Dict[str, Connection] = {}
+        #: cached (topological order, dependents); None until computed
+        self._plan: Optional[Tuple[List[str], Dict[str, List[str]]]] = None
+        #: module id -> {connection id: connection} touching that module
+        self._edges: Dict[str, Dict[str, Connection]] = {}
+        self.modules = {}
+        self.connections = {}
+
+    @property
+    def modules(self) -> Dict[str, Module]:
+        """Module instances by id."""
+        return self._modules
+
+    @modules.setter
+    def modules(self, mapping: Dict[str, Module]) -> None:
+        self._modules = _tracked(mapping)
+        self._plan = None
+
+    @property
+    def connections(self) -> Dict[str, Connection]:
+        """Connections by id."""
+        return self._connections
+
+    @connections.setter
+    def connections(self, mapping: Dict[str, Connection]) -> None:
+        self._connections = _tracked(mapping)
+        self._edges = {}
+        self._plan = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # the indexes are derived; pickles carry plain dicts only
+        state = dict(self.__dict__)
+        del state["_edges"], state["_plan"]
+        state["_modules"] = dict(self._modules)
+        state["_connections"] = dict(self._connections)
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        state = dict(state)
+        modules = state.pop("_modules")
+        connections = state.pop("_connections")
+        self.__dict__.update(state)
+        self.modules = modules
+        self.connections = connections
+
+    # ------------------------------------------------------------------
+    # index maintenance
+    # ------------------------------------------------------------------
+    def _index(self) -> Dict[str, Dict[str, Connection]]:
+        """Connections touching each module id, rebuilt here if stale."""
+        connections = self._connections
+        if connections.stale:
+            edges: Dict[str, Dict[str, Connection]] = {}
+            for connection in connections.values():
+                _link(edges, connection)
+            self._edges = edges
+            self._plan = None
+            connections.stale = False
+        return self._edges
+
+    def _touching(self, module_id: str):
+        return self._index().get(module_id, _NO_EDGES).values()
 
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
     def add_module(self, module: Module) -> Module:
         """Insert ``module``; its id must be fresh within this workflow."""
-        if module.id in self.modules:
+        if module.id in self._modules:
             raise SpecError(f"duplicate module id: {module.id}")
-        self.modules[module.id] = module
+        dict.__setitem__(self._modules, module.id, module)
+        self._plan = None
         return module
 
     def remove_module(self, module_id: str) -> Module:
         """Remove a module that has no attached connections."""
         module = self._require_module(module_id)
-        attached = [c.id for c in self.connections.values()
-                    if module_id in c.endpoints()]
+        attached = list(self._index().get(module_id, _NO_EDGES))
         if attached:
             raise SpecError(
                 f"module {module_id} still has connections: {attached}")
-        del self.modules[module_id]
+        dict.__delitem__(self._modules, module_id)
+        self._plan = None
         return module
 
     def remove_module_cascade(self, module_id: str
                               ) -> Tuple[Module, List[Connection]]:
         """Remove a module and all its connections; return what was removed."""
         self._require_module(module_id)
-        removed = [c for c in self.connections.values()
-                   if module_id in c.endpoints()]
+        edges = self._index()
+        removed = list(edges.get(module_id, _NO_EDGES).values())
         for connection in removed:
-            del self.connections[connection.id]
-        module = self.modules.pop(module_id)
+            dict.__delitem__(self._connections, connection.id)
+            _unlink(edges, connection)
+        module = dict.pop(self._modules, module_id)
+        self._plan = None
         return module, removed
 
     def add_connection(self, connection: Connection) -> Connection:
         """Insert ``connection``; both endpoint modules must exist."""
-        if connection.id in self.connections:
+        if connection.id in self._connections:
             raise SpecError(f"duplicate connection id: {connection.id}")
         self._require_module(connection.source_module)
         self._require_module(connection.target_module)
-        for existing in self.connections.values():
+        for existing in self._touching(connection.target_module):
             if (existing.target_module == connection.target_module
                     and existing.target_port == connection.target_port):
                 raise SpecError(
                     "input port already bound: "
                     f"{connection.target_module}.{connection.target_port}")
-        self.connections[connection.id] = connection
+        dict.__setitem__(self._connections, connection.id, connection)
+        _link(self._edges, connection)
+        self._plan = None
         return connection
 
     def remove_connection(self, connection_id: str) -> Connection:
         """Remove the connection with ``connection_id`` and return it."""
-        if connection_id not in self.connections:
+        if connection_id not in self._connections:
             raise SpecError(f"no such connection: {connection_id}")
-        return self.connections.pop(connection_id)
+        edges = self._index()
+        connection = dict.pop(self._connections, connection_id)
+        _unlink(edges, connection)
+        self._plan = None
+        return connection
 
     def connect(self, source_module: str, source_port: str,
                 target_module: str, target_port: str) -> Connection:
@@ -161,29 +301,31 @@ class Workflow:
     # structure queries
     # ------------------------------------------------------------------
     def _require_module(self, module_id: str) -> Module:
-        if module_id not in self.modules:
+        if module_id not in self._modules:
             raise SpecError(f"no such module: {module_id}")
-        return self.modules[module_id]
+        return self._modules[module_id]
 
     def incoming(self, module_id: str) -> List[Connection]:
         """Connections whose target is ``module_id``, sorted by port name."""
-        found = [c for c in self.connections.values()
+        found = [c for c in self._touching(module_id)
                  if c.target_module == module_id]
         return sorted(found, key=lambda c: c.target_port)
 
     def outgoing(self, module_id: str) -> List[Connection]:
         """Connections whose source is ``module_id``, sorted by port name."""
-        found = [c for c in self.connections.values()
+        found = [c for c in self._touching(module_id)
                  if c.source_module == module_id]
         return sorted(found, key=lambda c: (c.source_port, c.target_module))
 
     def predecessors(self, module_id: str) -> List[str]:
         """Distinct upstream neighbour module ids (sorted)."""
-        return sorted({c.source_module for c in self.incoming(module_id)})
+        return sorted({c.source_module for c in self._touching(module_id)
+                       if c.target_module == module_id})
 
     def successors(self, module_id: str) -> List[str]:
         """Distinct downstream neighbour module ids (sorted)."""
-        return sorted({c.target_module for c in self.outgoing(module_id)})
+        return sorted({c.target_module for c in self._touching(module_id)
+                       if c.source_module == module_id})
 
     def sources(self) -> List[str]:
         """Module ids with no incoming connections (sorted)."""
@@ -200,27 +342,47 @@ class Workflow:
 
         Raises :class:`CycleError` when the graph has a cycle.
         """
+        return list(self._kahn()[0])
+
+    def dependents(self) -> Dict[str, List[str]]:
+        """Distinct downstream neighbours of every module (sorted lists).
+
+        Comes from the same cached pass as :meth:`topological_order` (so it
+        raises :class:`CycleError` likewise) and is shared: callers must
+        not mutate it.
+        """
+        return self._kahn()[1]
+
+    def _kahn(self) -> Tuple[List[str], Dict[str, List[str]]]:
+        self._index()
+        if self._modules.stale:
+            self._modules.stale = False
+            self._plan = None
+        plan = self._plan
+        if plan is not None:
+            return plan
         # in-degree counts distinct predecessors: two connections between
         # the same module pair (e.g. image + header) are one dependency
         in_degree = {module_id: len(self.predecessors(module_id))
-                     for module_id in self.modules}
-        ready = sorted(m for m, d in in_degree.items() if d == 0)
+                     for module_id in self._modules}
+        # a heap pops the smallest ready id, as a sorted ready list would
+        ready = [m for m, d in in_degree.items() if d == 0]
+        heapq.heapify(ready)
         order: List[str] = []
+        dependents: Dict[str, List[str]] = {}
         while ready:
-            current = ready.pop(0)
+            current = heapq.heappop(ready)
             order.append(current)
-            for successor in self.successors(current):
+            dependents[current] = following = self.successors(current)
+            for successor in following:
                 in_degree[successor] -= 1
                 if in_degree[successor] == 0:
-                    # insertion keeps `ready` sorted for determinism
-                    index = 0
-                    while index < len(ready) and ready[index] < successor:
-                        index += 1
-                    ready.insert(index, successor)
-        if len(order) != len(self.modules):
+                    heapq.heappush(ready, successor)
+        if len(order) != len(self._modules):
             stuck = sorted(m for m, d in in_degree.items() if d > 0)
             raise CycleError(f"workflow contains a cycle through: {stuck}")
-        return order
+        self._plan = plan = (order, dependents)
+        return plan
 
     def upstream_modules(self, module_id: str) -> List[str]:
         """All transitive predecessors of ``module_id`` (sorted)."""
@@ -280,9 +442,9 @@ class Workflow:
         """Deep-copy the workflow (same module/connection ids)."""
         duplicate = Workflow(name=self.name,
                              workflow_id=new_id_ or new_id("wf"))
-        for module in self.modules.values():
-            duplicate.modules[module.id] = module.copy()
-        duplicate.connections = dict(self.connections)
+        duplicate.modules = {module_id: module.copy()
+                             for module_id, module in self.modules.items()}
+        duplicate.connections = self.connections
         return duplicate
 
     def __len__(self) -> int:
@@ -294,3 +456,19 @@ class Workflow:
     def __repr__(self) -> str:
         return (f"Workflow({self.name!r}, modules={len(self.modules)}, "
                 f"connections={len(self.connections)})")
+
+
+def _link(edges: Dict[str, Dict[str, Connection]],
+          connection: Connection) -> None:
+    edges.setdefault(connection.source_module, {})[connection.id] = connection
+    edges.setdefault(connection.target_module, {})[connection.id] = connection
+
+
+def _unlink(edges: Dict[str, Dict[str, Connection]],
+            connection: Connection) -> None:
+    for module_id in (connection.source_module, connection.target_module):
+        touching = edges.get(module_id)
+        if touching is not None:
+            touching.pop(connection.id, None)
+            if not touching:
+                del edges[module_id]

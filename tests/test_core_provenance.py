@@ -9,6 +9,7 @@ from repro.core import (ProspectiveProvenance, ProvenanceCapture,
                         run_from_result, upstream_artifacts,
                         upstream_executions)
 from repro.workflow import Executor, Module, Workflow
+from repro.workloads import chain_workflow
 from tests.conftest import build_fig1_workflow, module_by_name
 
 
@@ -73,6 +74,18 @@ class TestRunFromResult:
         # two rendered images plus the never-consumed volume header
         assert roles == {"image", "header"}
         assert len(finals) == 3
+
+    def test_pass_through_chain_lists_co_producers_in_order(self, registry):
+        # every stage of a work=0 chain passes the source value through,
+        # so all 2001 outputs share one hash: one artifact, created by the
+        # source, with each stage listed once, in execution order
+        result = Executor(registry).execute(chain_workflow(2000, work=0))
+        run = run_from_result(result, registry=registry)
+        produced = [a for a in run.artifacts.values() if a.created_by]
+        assert len(produced) == 1
+        executions = [result.results[m].execution_id for m in result.order]
+        assert produced[0].created_by == executions[0]
+        assert produced[0].also_produced_by == executions[1:]
 
     def test_roundtrip_to_dict(self, fig1_run):
         _, run = fig1_run

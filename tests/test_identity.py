@@ -1,5 +1,10 @@
 """Tests for identity primitives: ids, canonical JSON, content hashing."""
 
+import os
+import re
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -20,6 +25,66 @@ class TestNewId:
     def test_all_known_kinds_work(self):
         for kind in identity.KNOWN_KINDS:
             assert identity.kind_of(identity.new_id(kind)) == kind
+
+    def test_format_is_kind_dash_32_hex(self):
+        for kind in identity.KNOWN_KINDS:
+            ident = identity.new_id(kind)
+            prefix, _, body = ident.partition("-")
+            assert prefix == kind
+            assert re.fullmatch(r"[0-9a-f]{32}", body)
+            assert identity.is_id(ident)
+
+    def test_strictly_increasing_within_a_thread(self):
+        ids = [identity.new_id("art") for _ in range(20000)]
+        assert all(a < b for a, b in zip(ids, ids[1:]))
+
+    def test_leading_digits_are_the_millisecond_clock(self):
+        before = time.time_ns() // 1_000_000
+        stamp = int(identity.new_id("run")[4:16], 16)
+        after = time.time_ns() // 1_000_000
+        assert before <= stamp <= after
+
+    def test_unique_across_threads(self):
+        per_thread = 10000
+        batches = [[] for _ in range(8)]
+
+        def mint(out):
+            out.extend(identity.new_id("exec") for _ in range(per_thread))
+
+        threads = [threading.Thread(target=mint, args=(out,))
+                   for out in batches]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        minted = [ident for out in batches for ident in out]
+        assert len(set(minted)) == 8 * per_thread
+        for out in batches:  # each thread still sees increasing ids
+            assert all(a < b for a, b in zip(out, out[1:]))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_unique_across_a_forked_child(self):
+        identity.new_id("art")  # the parent has used its clock
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: mint ids, report them, exit at once
+            try:
+                os.close(read_end)
+                payload = "\n".join(identity.new_id("art")
+                                    for _ in range(2000))
+                with os.fdopen(write_end, "w") as pipe:
+                    pipe.write(payload)
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        parent = [identity.new_id("art") for _ in range(2000)]
+        with os.fdopen(read_end) as pipe:
+            child = pipe.read().split("\n")
+        os.waitpid(pid, 0)
+        assert len(child) == 2000
+        assert not set(child) & set(parent)
+        # the child reseeded: a different node, not the parent's
+        assert {c[-12:] for c in child} != {p[-12:] for p in parent}
 
 
 class TestKindOf:

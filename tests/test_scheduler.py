@@ -556,6 +556,36 @@ class TestCacheLeasesWithEngine:
         executor._release_lease(cache, "k", "holder")
         assert cache.acquire_lease("k", "rival")
 
+    def test_heartbeat_cannot_revive_a_lease_released_mid_refresh(
+            self, registry):
+        """A run that releases its lease while a heartbeat refresh is
+        under way must leave it released; a revived lease would make the
+        next run that misses on the key wait out the whole TTL."""
+        executor_box = []
+        releases = []
+
+        class ReleaseDuringRefresh(ResultCache):
+            def acquire_lease(self, key, owner, ttl=None):
+                if key == "first" and not releases:
+                    # the engine thread settles "second" just now
+                    releases.append(threading.Thread(
+                        target=executor_box[0]._release_lease,
+                        args=(self, "second", "run-b")))
+                    releases[0].start()
+                    releases[0].join(timeout=0.3)
+                return super().acquire_lease(key, owner, ttl)
+
+        cache = ReleaseDuringRefresh()
+        executor = Executor(registry, cache=cache)
+        executor_box.append(executor)
+        for key, owner in (("first", "run-a"), ("second", "run-b")):
+            assert ResultCache.acquire_lease(cache, key, owner)
+            executor._register_lease(cache, key, owner)
+        assert executor._heartbeat_tick()
+        releases[0].join()
+        assert cache.acquire_lease("second", "rival")
+        executor._release_lease(cache, "first", "run-a")
+
     def test_lease_losers_record_cached_from_winner(self, registry,
                                                     tmp_path):
         path = str(tmp_path / "prov.db")

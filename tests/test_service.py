@@ -67,6 +67,20 @@ def corpus(registry):
     return runs
 
 
+def derived_product(run: WorkflowRun):
+    """A final artifact of ``run`` whose lineage closure on a reference
+    MemoryStore is non-empty.  ``final_artifacts()`` sorts by id, and ids
+    are time-ordered, so its first entry is always the earliest product —
+    in the Figure 1 run, the loader's unconsumed header, which has no
+    ancestors and would make every closure check vacuous."""
+    reference = MemoryStore()
+    reference.save_run(run)
+    for artifact in run.final_artifacts():
+        if reference.lineage_closure(artifact.value_hash):
+            return artifact
+    raise AssertionError(f"run {run.id} has no derived final artifact")
+
+
 def fingerprint(run: WorkflowRun) -> str:
     """Canonical JSON of the run record — the byte-identity oracle."""
     return json.dumps(run.to_dict(), sort_keys=True)
@@ -204,7 +218,8 @@ class TestServiceBasics:
             client.save_runs(corpus)
             local = MemoryStore()
             local.save_runs(corpus)
-            key = corpus[0].final_artifacts()[0].value_hash
+            key = derived_product(corpus[0]).value_hash
+            assert local.lineage_closure(key)
             assert (client.lineage_closure(key)
                     == local.lineage_closure(key))
             assert (client.lineage_closure(key, direction="down",
@@ -400,7 +415,7 @@ class TestMixedTrafficStress:
     def test_inflight_run_is_invisible_to_lineage(self, service, corpus):
         """Closures must mask mid-stream runs like row queries do."""
         run = clone_run(corpus[0], "inflight-lineage")
-        key = run.final_artifacts()[0].value_hash
+        key = derived_product(run).value_hash
         ingest, observe = connect(service), connect(service)
         try:
             writer = ingest.save_run_stream(run)
@@ -430,7 +445,7 @@ class TestMixedTrafficStress:
             self, service, corpus):
         """Masking one in-flight run must not hide committed edges."""
         committed = clone_run(corpus[0], "committed-lineage")
-        key = committed.final_artifacts()[0].value_hash
+        key = derived_product(committed).value_hash
         ingest, observe = connect(service), connect(service)
         try:
             observe.save_run(committed)

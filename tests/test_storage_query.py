@@ -153,7 +153,7 @@ QUERY_CATALOG = [
     ("lineage-downstream-depth2", lambda c: ProvQuery.artifacts()
      .downstream_of(_volume_hash(c), max_depth=2)),
     ("lineage-artifact-id-seed", lambda c: ProvQuery.artifacts()
-     .upstream_of(c[2].final_artifacts()[0].id)),
+     .upstream_of(_final_id(c[2]))),
     ("lineage-run-scoped", lambda c: ProvQuery.artifacts()
      .downstream_of(_volume_hash(c), within_runs=[c[0].id, c[2].id])),
     ("lineage-run-scoped-empty", lambda c: ProvQuery.artifacts()
@@ -180,6 +180,16 @@ def _final_hash(corpus):
         if run.execution(artifact.created_by).inputs:
             return artifact.value_hash
     raise AssertionError("corpus has no derived final artifact")
+
+
+def _final_id(run):
+    """Id of a derived final product of ``run``: ids are time-ordered, so
+    ``final_artifacts()[0]`` is always the earliest product, which in the
+    Figure 1 run has no ancestry at all."""
+    for artifact in run.final_artifacts():
+        if run.execution(artifact.created_by).inputs:
+            return artifact.id
+    raise AssertionError(f"run {run.id} has no derived final artifact")
 
 
 def _volume_hash(corpus):
