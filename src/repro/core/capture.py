@@ -16,10 +16,10 @@ Two mechanisms are implemented:
   thread only enqueues lightweight tuples and a background drainer thread
   owns journal materialization, run conversion and store writes, so at high
   module rates the engine's hot path pays an enqueue instead of the full
-  capture cost.  When producers outrun the drainer, an explicit
-  back-pressure policy decides what happens (see
-  :data:`CAPTURE_POLICIES`); :meth:`ProvenanceCapture.flush` provides the
-  barrier that makes deferred capture observably complete.
+  capture cost.  Both modes hand every item to the same handler, so they
+  record the same thing; a full queue blocks the producer, so batched
+  capture never loses an event.  :meth:`ProvenanceCapture.flush` provides
+  the barrier that makes deferred capture observably complete.
 * :class:`ScriptCapture` — API capture for ad-hoc code (the paper's Perl
   scripts).  Wrapping a plain Python function records each call as a
   one-execution run, so script-based and workflow-based derivations share
@@ -50,23 +50,8 @@ from repro.workflow.environment import capture_environment
 from repro.workflow.registry import ModuleRegistry
 from repro.workflow.spec import Module, Workflow
 
-__all__ = ["CaptureEvent", "CaptureStats", "CAPTURE_POLICIES",
-           "ProvenanceCapture", "ScriptCapture", "run_from_result",
-           "stream_run_to_store"]
-
-#: Back-pressure policies for batched capture, applied when the bounded
-#: queue is full:
-#:
-#: * ``"block"`` — the producer waits for queue space.  Nothing is ever
-#:   lost; engine throughput degrades to drainer throughput.
-#: * ``"drop-detail"`` — module-level journal events (``module-start`` /
-#:   ``module-finish``) are dropped and counted; run lifecycle events and
-#:   run materialization still block, so executions and bindings are never
-#:   lost — only journal detail.
-#: * ``"sample"`` — only every Nth module-level event is enqueued at all
-#:   (N = ``sample_every``), thinning journal detail at the source; run
-#:   lifecycle events and run materialization always block.
-CAPTURE_POLICIES = ("block", "drop-detail", "sample")
+__all__ = ["CaptureEvent", "CaptureStats", "ProvenanceCapture",
+           "ScriptCapture", "run_from_result", "stream_run_to_store"]
 
 
 @dataclass(frozen=True)
@@ -89,13 +74,10 @@ class CaptureEvent:
 
 @dataclass
 class CaptureStats:
-    """Counters describing one capture's traffic (batched mode)."""
+    """Counters describing one capture's traffic, in either mode."""
 
-    events: int = 0          #: journal events accepted for materialization
-    dropped: int = 0         #: events discarded by the drop-detail policy
-    sampled_out: int = 0     #: events thinned at the source by sampling
-    runs: int = 0            #: run materializations enqueued/performed
-    max_queue_depth: int = 0  #: high-water mark of the bounded queue
+    events: int = 0          #: journal events materialized
+    runs: int = 0            #: runs handed to the capture
 
 
 #: Beyond this many characters/items, ``repr`` is estimated, not computed.
@@ -358,13 +340,9 @@ class ProvenanceCapture(ExecutionListener):
             queue of this many items drained by a background thread that
             owns journal materialization, run conversion
             (:func:`run_from_result`) and store writes.  The engine's hot
-            path then only builds a small tuple and enqueues it.
-        policy: back-pressure policy when the queue is full — one of
-            :data:`CAPTURE_POLICIES`.  Whatever the policy, executions,
-            bindings and runs are never lost; only journal *detail* may be
-            thinned or dropped.
-        sample_every: with ``policy="sample"``, keep one in this many
-            module-level events.
+            path then only builds a small tuple and enqueues it; when the
+            queue is full the producer blocks until the drainer makes
+            room, so nothing is ever lost.
         stream_batch: when set, store saves go through
             :func:`stream_run_to_store` with this batch size — executions
             flush to the backend incrementally (per-batch transactions on
@@ -373,6 +351,11 @@ class ProvenanceCapture(ExecutionListener):
             injecting deterministic faults at capture seams (drainer
             crash during run materialization, coordinator crash between
             stream flushes) — for recovery tests and drills.
+
+    Both modes pass every event and run through one handler
+    (:meth:`_handle`): synchronous capture calls it inline, batched capture
+    calls it on the drainer, so the mode decides only *when* provenance is
+    materialized, never *what* is recorded.
 
     Thread-safety: the engine dispatches listener events from its
     coordinating thread, but one capture instance may be shared between
@@ -396,22 +379,13 @@ class ProvenanceCapture(ExecutionListener):
                  store: Optional[Any] = None, keep_values: bool = True,
                  journal_limit: int = 10_000,
                  queue_size: int = 0,
-                 policy: str = "block",
-                 sample_every: int = 8,
                  stream_batch: Optional[int] = None,
                  fault_plan: Optional[FaultPlan] = None) -> None:
-        if policy not in CAPTURE_POLICIES:
-            raise ValueError(f"unknown capture policy: {policy!r} "
-                             f"(expected one of {CAPTURE_POLICIES})")
         if queue_size < 0:
             raise ValueError("queue_size must be >= 0")
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
         self.registry = registry
         self.store = store
         self.keep_values = keep_values
-        self.policy = policy
-        self.sample_every = sample_every
         self.stream_batch = stream_batch
         self.fault_plan = fault_plan
         self.stats = CaptureStats()
@@ -424,7 +398,6 @@ class ProvenanceCapture(ExecutionListener):
         # next(counter) is atomic under CPython, so the hot path takes no
         # lock to stamp an event's sequence number
         self._seq = itertools.count(1)
-        self._sample_tick = itertools.count()
         self._queue: Optional[queue.Queue] = (
             queue.Queue(maxsize=queue_size) if queue_size else None)
         self._drainer: Optional[threading.Thread] = None
@@ -450,18 +423,16 @@ class ProvenanceCapture(ExecutionListener):
     def on_run_start(self, run_id: str, workflow: Workflow,
                      environment: Dict[str, Any],
                      tags: Dict[str, Any]) -> None:
-        self._submit_event("run-start", run_id, workflow.id, workflow.name,
-                           detail_level=False)
+        self._submit_event("run-start", run_id, workflow.id, workflow.name)
 
     def on_module_start(self, run_id: str, module: Module,
                         parameters: Dict[str, Any]) -> None:
-        self._submit_event("module-start", run_id, module.id, module.name,
-                           detail_level=True)
+        self._submit_event("module-start", run_id, module.id, module.name)
 
     def on_module_finish(self, run_id: str, module: Module,
                          result: ModuleResult) -> None:
         self._submit_event("module-finish", run_id, module.id,
-                           result.status, detail_level=True)
+                           result.status)
 
     def on_run_finish(self, result: RunResult) -> None:
         self.stats.runs += 1
@@ -471,67 +442,45 @@ class ProvenanceCapture(ExecutionListener):
             # until some eventual flush() while callers keep submitting
             # runs that can no longer be persisted
             self._raise_drainer_error()
-            # the engine thread hands off the raw RunResult; conversion
-            # and the store write happen on the drainer.  Run completions
-            # always block — back-pressure may thin the journal, never
-            # the provenance record itself.
-            self._enqueue((_RUN, result, 1), block=True)
-        else:
-            self._materialize_run(result)
-        self._submit_event("run-finish", result.run_id, "", result.status,
-                           detail_level=False)
+        # in batched mode the engine thread only hands off the raw
+        # RunResult; conversion and the store write happen on the drainer
+        self._submit((_RUN, result))
+        self._submit_event("run-finish", result.run_id, "", result.status)
 
     # -- hot path ----------------------------------------------------------
     def _submit_event(self, kind: str, run_id: str, subject: str,
-                      detail: str, *, detail_level: bool) -> None:
-        """Record one journal event, honouring mode and policy.
+                      detail: str) -> None:
+        self._submit((_EVENT, next(self._seq), time.time(), kind, run_id,
+                      subject, detail))
 
-        ``detail_level`` marks module-granularity events — the ones
-        back-pressure policies are allowed to thin.  Run lifecycle events
-        always survive.
-        """
-        if self.batched and detail_level:
-            if (self.policy == "sample"
-                    and next(self._sample_tick) % self.sample_every):
-                self.stats.sampled_out += 1
-                return
-            if self.policy == "drop-detail":
-                item = (_EVENT, next(self._seq), time.time(), kind,
-                        run_id, subject, detail)
-                try:
-                    self._enqueue(item, block=False)
-                except queue.Full:
-                    self.stats.dropped += 1
-                return
-        event = (_EVENT, next(self._seq), time.time(), kind, run_id,
-                 subject, detail)
-        if self.batched:
-            self._enqueue(event, block=True)
-        else:
-            self.stats.events += 1
-            self._journal(CaptureEvent(event[2], kind, run_id,
-                                       subject=subject, detail=detail,
-                                       seq=event[1]))
-
-    def _enqueue(self, item: Tuple, *, block: bool) -> None:
-        """Put one item on the bounded queue.
+    def _submit(self, item: Tuple) -> None:
+        """Handle one item inline, or put it on the bounded queue.
 
         The drainer starts lazily on the first *contended* put (queue
         full) or at the next flush/close barrier, not on the first
         event: while the queue has room the producer runs free of
         drainer GIL and context-switch interference, which is what
         keeps the batched hot path cheap on busy or few-core hosts.
+        A full queue blocks the producer until the drainer makes room.
         """
+        if not self.batched:
+            self._handle(item)
+            return
         try:
             self._queue.put_nowait(item)
         except queue.Full:
             self._ensure_drainer()
-            if not block:
-                raise
             self._queue.put(item)
-        depth = self._queue.qsize()
-        if depth > self.stats.max_queue_depth:
-            self.stats.max_queue_depth = depth
+
+    def _handle(self, item: Tuple) -> None:
+        """Materialize one queued item: a journal event or a whole run."""
+        if item[0] == _EVENT:
+            _, seq, at, kind, run_id, subject, detail = item
+            self.stats.events += 1
+            self._journal(CaptureEvent(at, kind, run_id, subject=subject,
+                                       detail=detail, seq=seq))
+        else:
+            self._materialize_run(item[1])
 
     def _ensure_drainer(self) -> None:
         with self._lock:
@@ -550,29 +499,17 @@ class ProvenanceCapture(ExecutionListener):
                     return
                 if self.drain_delay:
                     time.sleep(self.drain_delay)
-                if item[0] == _EVENT:
-                    _, seq, at, kind, run_id, subject, detail = item
-                    self.stats.events += 1
-                    self._journal(CaptureEvent(at, kind, run_id,
-                                               subject=subject,
-                                               detail=detail, seq=seq))
-                else:
-                    tries = item[2] if len(item) > 2 else 1
-                    try:
-                        self._materialize_run(item[1])
-                    except BaseException:
-                        if tries >= 2:
-                            raise
-                        # supervised drainer: one re-enqueue before the
-                        # failure surfaces at the next flush() barrier —
-                        # a transiently failing store write doesn't lose
-                        # the run record.  put_nowait: the drainer must
-                        # never block on its own queue.
-                        try:
-                            self._queue.put_nowait(
-                                (_RUN, item[1], tries + 1))
-                        except queue.Full:
-                            raise
+                try:
+                    self._handle(item)
+                except BaseException:
+                    if item[0] != _RUN:
+                        raise
+                    # supervised drainer: one inline retry before the
+                    # failure surfaces at the next hand-off or flush() —
+                    # a transiently failing store write doesn't lose the
+                    # run record.  Inline, not re-enqueued: the drainer
+                    # must never wait on its own (possibly full) queue.
+                    self._handle(item)
             except BaseException as exc:  # surfaced on the next flush()
                 self._drainer_error = exc
             finally:

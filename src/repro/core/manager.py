@@ -62,10 +62,9 @@ class ProvenanceManager:
             :class:`~repro.core.capture.ProvenanceCapture` to the batched
             pipeline — a bounded queue of this many items drained by a
             background thread — so high-rate runs pay an enqueue, not the
-            full journal/materialization cost, per event.
-        capture_policy: back-pressure policy for a full capture queue —
-            ``"block"`` (lossless), ``"drop-detail"`` or ``"sample"``
-            (both thin journal detail only; executions are never lost).
+            full journal/materialization cost, per event.  A full queue
+            blocks the engine thread until the drainer catches up, so
+            batched capture records exactly what synchronous capture does.
         stream_batch: when set, captured runs are persisted through the
             store's streaming-ingest API
             (:meth:`~repro.storage.base.ProvenanceStore.save_run_stream`),
@@ -101,7 +100,6 @@ class ProvenanceManager:
                  registry_provider: Optional[str] = None,
                  payload_spill_threshold: Optional[int] = None,
                  capture_queue: int = 0,
-                 capture_policy: str = "block",
                  stream_batch: Optional[int] = None,
                  retry: Any = None,
                  fault_plan: Optional[Any] = None) -> None:
@@ -126,7 +124,6 @@ class ProvenanceManager:
         self.capture = ProvenanceCapture(registry=registry, store=store,
                                          keep_values=keep_values,
                                          queue_size=capture_queue,
-                                         policy=capture_policy,
                                          stream_batch=stream_batch,
                                          fault_plan=fault_plan)
         self.executor = Executor(

@@ -1,12 +1,11 @@
-"""Batched capture pipeline: sync/batched parity, back-pressure policies,
+"""Batched capture pipeline: sync/batched parity, blocking back-pressure,
 streaming ingest, and the observed-process workload.
 
 The contract under test: batched capture is an *optimization of when* the
 journal and the run are materialized — never of *what* is recorded.  A
 batched capture must produce byte-identical provenance to the synchronous
-path on every scheduler backend; the ``block`` policy must never lose
-anything; ``drop-detail``/``sample`` may thin module-level journal detail
-but never executions or bindings.
+path on every scheduler backend, and a full queue must block, never lose
+anything.
 """
 
 import json
@@ -15,9 +14,8 @@ import time
 
 import pytest
 
-from repro.core import (CAPTURE_POLICIES, ProvenanceCapture,
-                        ProvenanceManager, run_from_result,
-                        stream_run_to_store)
+from repro.core import (ProvenanceCapture, ProvenanceManager,
+                        run_from_result, stream_run_to_store)
 from repro.core.capture import CaptureEvent
 from repro.storage.base import BufferedRunStream, StoreError
 from repro.storage.documents import DocumentStore
@@ -79,6 +77,7 @@ class TestBatchedSyncParity:
                     == _normalized_dict(batched.last_run()))
             assert (sync.normalized_journal(result.run_id)
                     == batched.normalized_journal(result.run_id))
+            assert sync.stats.events == batched.stats.events
 
     @pytest.mark.parametrize("label,kwargs", BACKEND_MATRIX,
                              ids=[label for label, _ in BACKEND_MATRIX])
@@ -120,14 +119,11 @@ class TestBatchedSyncParity:
 class TestBackPressure:
     def test_policy_validation(self, registry):
         with pytest.raises(ValueError):
-            ProvenanceCapture(registry=registry, policy="bogus")
-        with pytest.raises(ValueError):
             ProvenanceCapture(registry=registry, queue_size=-1)
-        assert set(CAPTURE_POLICIES) == {"block", "drop-detail", "sample"}
 
     def test_block_never_loses_anything(self, registry):
         """A one-slot queue with a slow drainer forces back-pressure on
-        every event; with ``block`` the journal still ends complete."""
+        every event; blocking still ends with a complete journal."""
         capture = ProvenanceCapture(registry=registry, queue_size=1)
         capture.drain_delay = 0.001
         workflow = build_chain_workflow(length=5, work=1)
@@ -139,53 +135,9 @@ class TestBackPressure:
             kinds = [event for event, _, _ in journal]
             assert kinds.count("module-start") == len(workflow.modules)
             assert kinds.count("module-finish") == len(workflow.modules)
-            assert capture.stats.dropped == 0
-            assert capture.stats.sampled_out == 0
+            assert capture.stats.events == 2 * len(workflow.modules) + 2
             assert len(capture.last_run().executions) == \
                 len(workflow.modules)
-
-    def test_drop_detail_thins_journal_not_executions(self, registry):
-        capture = ProvenanceCapture(registry=registry, queue_size=1,
-                                    policy="drop-detail")
-        capture.drain_delay = 0.002
-        workflow = build_chain_workflow(length=8, work=1)
-        with capture:
-            result = Executor(registry,
-                              listeners=[capture]).execute(workflow)
-            capture.flush()
-            # detail was dropped under pressure...
-            assert capture.stats.dropped > 0
-            journal = capture.normalized_journal(result.run_id)
-            kinds = [event for event, _, _ in journal]
-            assert kinds.count("module-start") < len(workflow.modules)
-            # ...but run lifecycle events and every execution survive
-            assert kinds.count("run-start") == 1
-            assert kinds.count("run-finish") == 1
-            run = capture.last_run()
-            assert len(run.executions) == len(workflow.modules)
-            assert all(e.inputs or e.outputs for e in run.executions)
-
-    def test_sample_thins_at_source(self, registry):
-        capture = ProvenanceCapture(registry=registry, queue_size=64,
-                                    policy="sample", sample_every=4)
-        workflow = build_chain_workflow(length=10, work=1)
-        with capture:
-            result = Executor(registry,
-                              listeners=[capture]).execute(workflow)
-            capture.flush()
-            assert capture.stats.sampled_out > 0
-            journal = capture.normalized_journal(result.run_id)
-            kinds = [event for event, _, _ in journal]
-            module_events = (kinds.count("module-start")
-                             + kinds.count("module-finish"))
-            # 1-in-4 sampling keeps roughly a quarter of 2N module events
-            assert module_events <= len(workflow.modules)
-            assert kinds.count("run-start") == 1
-            assert kinds.count("run-finish") == 1
-            # bindings/executions are never sampled away
-            run = capture.last_run()
-            assert len(run.executions) == len(workflow.modules)
-            assert _provenance_fingerprint(run)[0] == "ok"
 
     def test_drainer_error_surfaces_on_flush(self, registry):
         capture = ProvenanceCapture(registry=registry, queue_size=8)

@@ -447,6 +447,21 @@ class TestCaptureFaults:
         assert store.has_run(result.run_id)
         assert len(store.load_run(result.run_id).executions) == 5
 
+    def test_drainer_retry_survives_full_queue(self, registry):
+        # a one-slot queue behind a slow drainer is full whenever the
+        # drainer picks up the run: the retry must not need queue space
+        store = MemoryStore()
+        plan = FaultPlan().crash_drainer()
+        capture = ProvenanceCapture(registry=registry, store=store,
+                                    queue_size=1, fault_plan=plan)
+        capture.drain_delay = 0.01
+        workflow = build_fig1_workflow(size=6)
+        result = Executor(registry, listeners=[capture]).execute(workflow)
+        capture.close()
+        assert plan.fired_at("drainer")
+        assert store.has_run(result.run_id)
+        assert len(capture.runs) == 1
+
     def test_capture_atexit_flushes_queued_tail(self, registry,
                                                 tmp_path):
         # a process that exits without close() must not lose the queued

@@ -142,6 +142,18 @@ class TestCli:
         output = capsys.readouterr().out
         assert "status: ok" in output
 
+    def test_demo_batched_capture(self, capsys):
+        def executions(output):
+            return sum(line.startswith("   [")
+                       for line in output.splitlines())
+
+        assert main(["demo", "--size", "4"]) == 0
+        sync = capsys.readouterr().out
+        assert main(["demo", "--size", "4", "--capture-queue", "64"]) == 0
+        batched = capsys.readouterr().out
+        assert "status: ok" in batched
+        assert executions(batched) == executions(sync) > 0
+
     def test_query(self, capsys):
         assert main(["query", "COUNT EXECUTIONS"]) == 0
         assert capsys.readouterr().out.strip() == "6"
