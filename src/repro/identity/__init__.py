@@ -133,8 +133,7 @@ def canonical_json(value: Any) -> str:
     always produce identical byte strings.  Non-JSON scalars are converted via
     ``str`` as a last resort so arbitrary parameter values can be hashed.
     """
-    return json.dumps(value, sort_keys=True, separators=(",", ":"),
-                      default=_json_fallback)
+    return _CANONICAL_ENCODER.encode(value)
 
 
 def _json_fallback(value: Any) -> Any:
@@ -142,6 +141,12 @@ def _json_fallback(value: Any) -> Any:
     if callable(tolist):  # numpy arrays and scalars
         return tolist()
     return str(value)
+
+
+# built once: json.dumps with any non-default argument constructs a new
+# JSONEncoder per call, which dominated short payloads such as cache keys
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                      default=_json_fallback)
 
 
 def content_hash(data: bytes) -> str:

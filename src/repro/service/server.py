@@ -21,7 +21,9 @@ on ``select``, filtered listings, ``StoreError``/``False`` on point
 lookups, and lineage closures restricted to the edges of committed runs)
 until ``stream_finish`` commits and deregisters — at which point the run
 appears atomically, in ingest order: a run is acknowledged durable to
-its writer strictly before it becomes visible to any reader.
+its writer strictly before it becomes visible to any reader.  A read
+during which another stream registered is done again under the newer
+mask, since its mask could not hide that stream's first batches.
 
 **Back-pressure.**  Each ``stream_add`` batch is flushed (one shard
 transaction) before it is acknowledged, so a client can never buffer more
@@ -101,6 +103,7 @@ class ProvenanceService:
             else [store])
         self._locks = [threading.RLock() for _ in self._shards]
         self._inflight: Dict[str, str] = {}  # run_id -> stream id
+        self._streams_begun = 0  # registrations so far, under the lock
         self._inflight_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._counters = {"requests": 0, "errors": 0, "rows_served": 0,
@@ -207,9 +210,24 @@ class ProvenanceService:
             self._counters[name] += amount
 
     # -- in-flight masking ------------------------------------------------
-    def _inflight_ids(self) -> Set[str]:
-        with self._inflight_lock:
-            return set(self._inflight)
+    def _masked_read(self, read: Callable[[ProvenanceStore, Set[str]], Any]
+                     ) -> Any:
+        """``read(view, inflight)`` on a read view, repeated until no
+        stream registered while it ran.
+
+        The in-flight set is taken before the view is read, so a stream
+        that registers after it and flushes a batch before the read would
+        show through half-written; such a read is thrown away and done
+        again under the newer mask.
+        """
+        while True:
+            with self._inflight_lock:
+                inflight, begun = set(self._inflight), self._streams_begun
+            with self._read_view() as store:
+                result = read(store, inflight)
+            with self._inflight_lock:
+                if self._streams_begun == begun:
+                    return result
 
     def _masked_query(self, query: ProvQuery,
                       inflight: Set[str]) -> ProvQuery:
@@ -398,17 +416,15 @@ class ProvenanceService:
     def _op_select(self, message: Dict[str, Any], streams: Any
                    ) -> Dict[str, Any]:
         query = ProvQuery.from_dict(message.get("query"))
-        query = self._masked_query(query, self._inflight_ids())
-        with self._read_view() as store:
-            rows = store.select(query).all()
+        rows = self._masked_read(lambda store, inflight: store.select(
+            self._masked_query(query, inflight)).all())
         self._bump("rows_served", len(rows))
         return {"rows": rows}
 
     def _op_lineage(self, message: Dict[str, Any], streams: Any
                     ) -> Dict[str, Any]:
-        within_runs = message.get("within_runs")
-        inflight = self._inflight_ids()
-        with self._read_view() as store:
+        def read(store: ProvenanceStore, inflight: Set[str]) -> Any:
+            within_runs = message.get("within_runs")
             if inflight:
                 # mask in-flight runs exactly like the row queries do:
                 # restrict the traversal to edges recorded by committed
@@ -418,37 +434,39 @@ class ProvenanceService:
                 if within_runs is not None:
                     allowed &= set(within_runs)
                 within_runs = sorted(allowed)
-            nodes = store.lineage_closure(
+            return store.lineage_closure(
                 message["key"], direction=message.get("direction", "up"),
                 max_depth=message.get("max_depth"),
                 within_runs=within_runs)
-        return {"nodes": sorted(nodes)}
+
+        return {"nodes": sorted(self._masked_read(read))}
 
     def _op_list_runs(self, message: Dict[str, Any], streams: Any
                       ) -> Dict[str, Any]:
-        inflight = self._inflight_ids()
-        with self._read_view() as store:
-            summaries = store.list_runs()
+        summaries = self._masked_read(lambda store, inflight: [
+            s for s in store.list_runs() if s.run_id not in inflight])
         return {"runs": [
             {"run_id": s.run_id, "workflow_id": s.workflow_id,
              "workflow_name": s.workflow_name, "status": s.status,
              "started": s.started, "finished": s.finished}
-            for s in summaries if s.run_id not in inflight]}
+            for s in summaries]}
 
     def _op_load_run(self, message: Dict[str, Any], streams: Any
                      ) -> Dict[str, Any]:
         run_id = message["run_id"]
-        if run_id in self._inflight_ids():
-            raise StoreError(f"no such run: {run_id!r} (ingest in flight)")
-        with self._read_view() as store:
-            run = store.load_run(run_id)
-        return {"run": run.to_dict()}
+
+        def read(store: ProvenanceStore, inflight: Set[str]) -> Any:
+            if run_id in inflight:
+                raise StoreError(
+                    f"no such run: {run_id!r} (ingest in flight)")
+            return store.load_run(run_id)
+
+        return {"run": self._masked_read(read).to_dict()}
 
     def _op_load_runs(self, message: Dict[str, Any], streams: Any
                       ) -> Dict[str, Any]:
-        run_ids = message.get("run_ids")
-        inflight = self._inflight_ids()
-        with self._read_view() as store:
+        def read(store: ProvenanceStore, inflight: Set[str]) -> Any:
+            run_ids = message.get("run_ids")
             if run_ids is None:
                 run_ids = [s.run_id for s in store.list_runs()
                            if s.run_id not in inflight]
@@ -457,16 +475,16 @@ class ProvenanceService:
                     if run_id in inflight:
                         raise StoreError(f"no such run: {run_id!r} "
                                          "(ingest in flight)")
-            runs = store.load_runs(run_ids)
-        return {"runs": [run.to_dict() for run in runs]}
+            return store.load_runs(run_ids)
+
+        return {"runs": [run.to_dict() for run in self._masked_read(read)]}
 
     def _op_has_run(self, message: Dict[str, Any], streams: Any
                     ) -> Dict[str, Any]:
         run_id = message["run_id"]
-        if run_id in self._inflight_ids():
-            return {"has_run": False}
-        with self._read_view() as store:
-            return {"has_run": store.has_run(run_id)}
+        return {"has_run": self._masked_read(
+            lambda store, inflight: run_id not in inflight
+            and store.has_run(run_id))}
 
     # -- ops: run writes ---------------------------------------------------
     def _op_save_run(self, message: Dict[str, Any], streams: Any
@@ -512,6 +530,7 @@ class ProvenanceService:
                 raise StoreError(
                     f"too many open ingest streams (max {self.max_streams})")
             self._inflight[run_id] = "pending"
+            self._streams_begun += 1
         shard_index = self._shard_index(run_id)
         try:
             with self._locks[shard_index]:

@@ -231,8 +231,12 @@ class RelationalStore(ProvenanceStore):
 
     # -- runs -----------------------------------------------------------
     def save_run(self, run: WorkflowRun) -> None:
-        cursor = self._connection.cursor()
-        self._write_run(cursor, run)
+        try:
+            self._write_run(self._connection.cursor(), run)
+        except Exception:
+            # a half-written run must not ride along with the next commit
+            self._connection.rollback()
+            raise
         self._connection.commit()
 
     def save_run_stream(self, header: WorkflowRun) -> RunStreamWriter:
@@ -296,7 +300,7 @@ class RelationalStore(ProvenanceStore):
         return count
 
     def _write_run(self, cursor: sqlite3.Cursor, run: WorkflowRun) -> None:
-        cursor.execute("DELETE FROM runs WHERE id = ?", (run.id,))
+        _delete_run_rows(cursor, run.id)
         cursor.execute(
             "INSERT INTO runs (id, workflow_id, workflow_name, signature,"
             " status, started, finished, environment, spec, tags)"
@@ -342,8 +346,8 @@ class RelationalStore(ProvenanceStore):
                 cursor.execute(
                     "INSERT INTO artifact_values VALUES (?,?,?)",
                     (artifact.id, run.id, blob))
-        # derivation-edge index rows; the leading DELETE FROM runs above
-        # already cascaded away any previous edges of this run
+        # derivation-edge index rows; the leading delete above already
+        # cascaded away any previous edges of this run
         cursor.executemany(
             "INSERT OR IGNORE INTO lineage VALUES (?,?,?,?)",
             [tuple(edge) for edge in lineage_edges(run)])
@@ -354,68 +358,18 @@ class RelationalStore(ProvenanceStore):
         return row is not None
 
     def load_run(self, run_id: str) -> WorkflowRun:
-        cursor = self._connection.cursor()
-        row = cursor.execute(
-            "SELECT id, workflow_id, workflow_name, signature, status,"
-            " started, finished, environment, spec, tags FROM runs"
-            " WHERE id = ?", (run_id,)).fetchone()
-        if row is None:
-            raise StoreError(f"no such run: {run_id}")
-        executions = []
-        exec_rows = cursor.execute(
-            "SELECT id, module_id, module_type, module_name, status,"
-            " parameters, started, finished, error, cache_key,"
-            " cached_from, attempt FROM executions WHERE run_id = ?"
-            " ORDER BY seq, started, id", (run_id,)).fetchall()
-        for exec_row in exec_rows:
-            inputs, outputs = [], []
-            for direction, port, artifact_id in cursor.execute(
-                    "SELECT direction, port, artifact_id FROM bindings"
-                    " WHERE execution_id = ? ORDER BY port",
-                    (exec_row[0],)).fetchall():
-                binding = PortBinding(port=port, artifact_id=artifact_id)
-                (inputs if direction == "in" else outputs).append(binding)
-            executions.append(ModuleExecution(
-                id=exec_row[0], module_id=exec_row[1],
-                module_type=exec_row[2], module_name=exec_row[3],
-                status=exec_row[4], parameters=json.loads(exec_row[5]),
-                inputs=inputs, outputs=outputs, started=exec_row[6],
-                finished=exec_row[7], error=exec_row[8],
-                cache_key=exec_row[9], cached_from=exec_row[10],
-                attempt=exec_row[11]))
-        artifacts = {}
-        art_rows = cursor.execute(
-            "SELECT id, value_hash, type_name, created_by, role,"
-            " also_produced_by, size_hint FROM artifacts"
-            " WHERE run_id = ?", (run_id,)).fetchall()
-        for art_row in art_rows:
-            artifacts[art_row[0]] = DataArtifact(
-                id=art_row[0], value_hash=art_row[1], type_name=art_row[2],
-                created_by=art_row[3], role=art_row[4],
-                also_produced_by=json.loads(art_row[5]),
-                size_hint=art_row[6])
-        values = {}
-        if self.store_values:
-            value_rows = cursor.execute(
-                "SELECT artifact_id, blob FROM artifact_values"
-                " WHERE run_id = ?", (run_id,)).fetchall()
-            for artifact_id, blob in value_rows:
-                values[artifact_id] = pickle.loads(blob)
-        return WorkflowRun(
-            id=row[0], workflow_id=row[1], workflow_name=row[2],
-            workflow_signature=row[3], status=row[4], started=row[5],
-            finished=row[6], environment=json.loads(row[7]),
-            workflow_spec=json.loads(row[8]), executions=executions,
-            artifacts=artifacts, tags=json.loads(row[9]), values=values)
+        return self.load_runs([run_id])[0]
 
     def load_runs(self, run_ids: Optional[Iterable[str]] = None
                   ) -> List[WorkflowRun]:
         """Bulk-load runs in one SQL pass per table.
 
-        ``load_run`` issues a query cascade per run (plus one per execution
-        for bindings); listing N stored runs that way costs O(N·modules)
-        round trips.  Here each chunk of ids is answered with five ``IN``
-        queries total, grouped in Python.
+        This is the store's only run reader (``load_run`` is a one-id
+        call).  Each chunk of up to 900 ids is answered with four ``IN``
+        queries (runs, bindings, executions, artifacts), five when values
+        are stored, whatever the runs' sizes, grouped in Python.  Every
+        query reaches its rows through a ``run_id`` index: bindings via
+        ``executions``, values via ``artifacts``.
         """
         if run_ids is None:
             ordered = [summary.run_id for summary in self.list_runs()]
@@ -449,9 +403,10 @@ class RelationalStore(ProvenanceStore):
                 artifacts={}, tags=json.loads(row[9]), values={})
         bindings: Dict[str, Tuple[List[PortBinding], List[PortBinding]]] = {}
         for execution_id, direction, port, artifact_id in cursor.execute(
-                "SELECT execution_id, direction, port, artifact_id"
-                f" FROM bindings WHERE run_id IN ({marks})"
-                " ORDER BY port", chunk).fetchall():
+                "SELECT b.execution_id, b.direction, b.port, b.artifact_id"
+                " FROM executions e JOIN bindings b ON b.execution_id = e.id"
+                f" WHERE e.run_id IN ({marks}) ORDER BY b.port",
+                chunk).fetchall():
             inputs, outputs = bindings.setdefault(execution_id, ([], []))
             (inputs if direction == "in" else outputs).append(
                 PortBinding(port=port, artifact_id=artifact_id))
@@ -479,8 +434,10 @@ class RelationalStore(ProvenanceStore):
                 also_produced_by=json.loads(row[6]), size_hint=row[7])
         if self.store_values:
             for artifact_id, run_id, blob in cursor.execute(
-                    "SELECT artifact_id, run_id, blob FROM artifact_values"
-                    f" WHERE run_id IN ({marks})", chunk).fetchall():
+                    "SELECT v.artifact_id, v.run_id, v.blob FROM artifacts a"
+                    " JOIN artifact_values v ON v.artifact_id = a.id"
+                    f" AND v.run_id = a.run_id WHERE a.run_id IN ({marks})",
+                    chunk).fetchall():
                 loaded[run_id].values[artifact_id] = pickle.loads(blob)
 
     def list_runs(self) -> List[RunSummary]:
@@ -491,10 +448,7 @@ class RelationalStore(ProvenanceStore):
 
     def delete_run(self, run_id: str) -> bool:
         cursor = self._connection.cursor()
-        cursor.execute("DELETE FROM artifact_values WHERE run_id = ?",
-                       (run_id,))
-        cursor.execute("DELETE FROM bindings WHERE run_id = ?", (run_id,))
-        cursor.execute("DELETE FROM runs WHERE id = ?", (run_id,))
+        _delete_run_rows(cursor, run_id)
         self._connection.commit()
         return cursor.rowcount > 0
 
@@ -809,6 +763,22 @@ class RelationalStore(ProvenanceStore):
         self._connection.close()
 
 
+def _delete_run_rows(cursor: sqlite3.Cursor, run_id: str) -> None:
+    """Delete one stored run with every row that hangs off it.
+
+    ``artifact_values`` has no foreign key, so the run's values go first,
+    found through ``artifacts`` (``idx_art_run``, then the primary key)
+    while those rows still exist.  The ``runs`` delete then cascades to
+    executions (and on to their bindings), artifacts, lineage edges and
+    the stream journal.  ``cursor.rowcount`` afterwards tells whether a
+    run row was there.
+    """
+    cursor.execute(
+        "DELETE FROM artifact_values WHERE run_id = ? AND artifact_id IN"
+        " (SELECT id FROM artifacts WHERE run_id = ?)", (run_id, run_id))
+    cursor.execute("DELETE FROM runs WHERE id = ?", (run_id,))
+
+
 class _RelationalRunStream(RunStreamWriter):
     """Per-batch-transaction ingest stream for :class:`RelationalStore`.
 
@@ -842,9 +812,7 @@ class _RelationalRunStream(RunStreamWriter):
             (header.id,)).fetchone()
         if prior is not None:
             self.epoch = int(prior[0]) + 1
-        cursor.execute("DELETE FROM artifact_values WHERE run_id = ?",
-                       (header.id,))
-        cursor.execute("DELETE FROM runs WHERE id = ?", (header.id,))
+        _delete_run_rows(cursor, header.id)
         # the header lands with status 'running' regardless of what the
         # in-memory run says: paired with its stream_state journal row,
         # that is the crash signature fsck looks for.  finish() seals the
@@ -1030,10 +998,5 @@ class _RelationalRunStream(RunStreamWriter):
         self._pending_arts = {}
         connection = self._store._connection
         connection.rollback()
-        cursor = connection.cursor()
-        cursor.execute("DELETE FROM artifact_values WHERE run_id = ?",
-                       (self._header.id,))
-        cursor.execute("DELETE FROM bindings WHERE run_id = ?",
-                       (self._header.id,))
-        cursor.execute("DELETE FROM runs WHERE id = ?", (self._header.id,))
+        _delete_run_rows(connection.cursor(), self._header.id)
         connection.commit()

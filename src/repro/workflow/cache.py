@@ -422,16 +422,34 @@ class PersistentResultCache(CacheStore):
 
     # -- connection management -----------------------------------------
     def _connect(self) -> None:
-        self._connection = sqlite3.connect(self.path, timeout=30.0,
-                                           check_same_thread=False)
-        # must precede table creation to take effect on fresh databases;
-        # a no-op on existing ones (best effort — size-bound guarantees
-        # then hold for payload bytes, not the on-disk file)
-        self._connection.execute("PRAGMA auto_vacuum = FULL")
-        self._connection.execute("PRAGMA journal_mode = WAL")
-        self._connection.execute("PRAGMA synchronous = NORMAL")
-        self._connection.executescript(_CACHE_SCHEMA)
-        self._connection.commit()
+        deadline = time.monotonic() + 30.0
+        while True:
+            connection = sqlite3.connect(self.path, timeout=30.0,
+                                         check_same_thread=False)
+            try:
+                # must precede table creation to take effect on fresh
+                # databases; a no-op on existing ones (best effort —
+                # size-bound guarantees then hold for payload bytes, not
+                # the on-disk file)
+                connection.execute("PRAGMA auto_vacuum = FULL")
+                connection.execute("PRAGMA journal_mode = WAL")
+                connection.execute("PRAGMA synchronous = NORMAL")
+                connection.executescript(_CACHE_SCHEMA)
+                connection.commit()
+            except sqlite3.Error as exc:
+                connection.close()
+                # two instances opening one new file can each hold a lock
+                # the other's switch to WAL needs, and SQLite then reports
+                # "locked" at once instead of waiting.  That is contention,
+                # not damage: retry, since the caller's fallback
+                # (_reset_file) would delete the other instance's file
+                if ("locked" not in str(exc)
+                        or time.monotonic() >= deadline):
+                    raise
+                time.sleep(0.01)
+                continue
+            self._connection = connection
+            return
 
     def _reset_file(self) -> None:
         """Best-effort recovery from an unreadable database file.

@@ -1,5 +1,6 @@
 """Tests for identity primitives: ids, canonical JSON, content hashing."""
 
+import json
 import os
 import re
 import threading
@@ -123,6 +124,22 @@ class TestCanonicalJson:
         second = {"outer": {"a": [True, None], "z": 1}}
         assert (identity.canonical_json(first)
                 == identity.canonical_json(second))
+
+    @pytest.mark.parametrize("value", [
+        {"z": {"y": [3, {"b": 2, "a": 1}], "x": None}, "a": [True, False]},
+        {"naïve": "café ☕", "日本": ["ß", "\u0000", "\U0001f600"]},
+        [float("nan"), float("inf"), -float("inf"), -0.0, 1e300],
+        (1, ("nested", (2.5,)), {"t": (None,)}),
+        {"arr": np.arange(6).reshape(2, 3), "scalar": np.float32(1.5),
+         "int": np.int64(7), "flag": np.bool_(True)},
+        {"fallback": complex(1, 2), "": 0},
+        "plain string",
+        42,
+    ])
+    def test_matches_json_dumps_byte_for_byte(self, value):
+        expected = json.dumps(value, sort_keys=True, separators=(",", ":"),
+                              default=identity._json_fallback)
+        assert identity.canonical_json(value) == expected
 
 
 class TestHashing:

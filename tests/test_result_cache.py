@@ -7,6 +7,7 @@ in-memory :class:`ResultCache` operation for operation.
 """
 
 import os
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -59,6 +60,42 @@ class TestPersistentBasics:
         second = PersistentResultCache(path)
         assert second.get("k").outputs == {"out": "x"}
         assert second.stats.hits == 1
+
+    def test_locked_open_waits_instead_of_resetting(self, tmp_path,
+                                                    monkeypatch):
+        # a second instance opening the file while the first holds a lock
+        # its WAL switch needs gets "locked" at once, without a busy
+        # wait; it must retry, not delete the file as if it were damaged
+        path = str(tmp_path / "shared.db")
+        first = PersistentResultCache(path)
+        first.put("k", entry("x"))
+        real_connect = sqlite3.connect
+        opened = []
+
+        class LockedOnWalSwitch:
+            def __init__(self, connection):
+                self._connection = connection
+
+            def execute(self, sql, *args):
+                if "journal_mode" in sql:
+                    raise sqlite3.OperationalError("database is locked")
+                return self._connection.execute(sql, *args)
+
+            def __getattr__(self, name):
+                return getattr(self._connection, name)
+
+        def connect(*args, **kwargs):
+            opened.append(real_connect(*args, **kwargs))
+            if len(opened) == 1:
+                return LockedOnWalSwitch(opened[0])
+            return opened[-1]
+
+        monkeypatch.setattr(sqlite3, "connect", connect)
+        second = PersistentResultCache(path)
+        monkeypatch.undo()
+        assert len(opened) == 2
+        assert second.get("k").outputs == {"out": "x"}
+        assert first.get("k").outputs == {"out": "x"}
 
     def test_unpicklable_value_is_skipped_not_fatal(self, tmp_path):
         cache = PersistentResultCache(tmp_path / "c.db")

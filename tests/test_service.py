@@ -301,6 +301,41 @@ class TestMixedTrafficStress:
     READERS = 3
     RUNS_EACH = 5
 
+    def test_stream_begun_during_a_read_stays_masked(self, tmp_path,
+                                                    corpus):
+        # the read takes its in-flight mask, then a stream registers and
+        # commits a batch before the read's query runs: the half-written
+        # run must not show through
+        path = str(tmp_path / "race.db")
+        run = clone_run(corpus[0], "racer")
+        racer = {}
+
+        class RacingView(RelationalStore):
+            def select(self, query):
+                if not racer:
+                    racer["client"] = connect(service)
+                    writer = racer["writer"] = \
+                        racer["client"].save_run_stream(run)
+                    for artifact in run.artifacts.values():
+                        writer.add_artifact(artifact)
+                    writer.add_execution(run.executions[0])
+                    writer.flush()
+                return super().select(query)
+
+        service = ProvenanceService(
+            RelationalStore(path), read_pool=1, close_store=True,
+            read_store_factory=lambda: RacingView(path)).start()
+        try:
+            with connect(service) as client:
+                query = ProvQuery.executions().project("run_id")
+                assert client.select(query).all() == []
+                racer["writer"].finish(status=run.status)
+                assert len(client.select(query).all()) == 1
+        finally:
+            if "client" in racer:
+                racer["client"].close()
+            service.close()
+
     def test_no_torn_reads_and_ingest_order_visibility(self, service,
                                                        corpus):
         base = corpus[0]

@@ -1,5 +1,10 @@
 """Backend-conformance tests run against all four provenance stores."""
 
+import contextlib
+import dataclasses
+import pickle
+import sqlite3
+
 import numpy as np
 import pytest
 
@@ -9,8 +14,10 @@ from repro.storage import (ArtifactValueStore, DocumentStore,
                            ProvQuery, RelationalStore, StoreError,
                            TripleProvenanceStore, TripleStore,
                            run_to_triples)
-from repro.workflow import Executor, Module, Workflow
-from tests.conftest import build_fig1_workflow, module_by_name
+from repro.workflow import (Executor, FaultPlan, Module, RetryPolicy,
+                            Workflow)
+from tests.conftest import (build_chain_workflow, build_fig1_workflow,
+                            module_by_name)
 
 
 def make_store(name, tmp_path):
@@ -182,6 +189,159 @@ class TestRelationalSpecifics:
         store = RelationalStore(store_values=False)
         store.save_run(run)
         assert store.load_run(run.id).values == {}
+
+    def test_resave_with_values_roundtrips(self, captured_run):
+        _, run = captured_run
+        store = RelationalStore(store_values=True)
+        store.save_run(run)
+        store.save_run(run)
+        assert store.save_runs([run, run]) == 2
+        loaded = store.load_run(run.id)
+        assert set(loaded.artifacts) == set(run.artifacts)
+        assert set(loaded.values) == set(run.values)
+        for artifact_id, value in run.values.items():
+            assert (pickle.dumps(loaded.values[artifact_id])
+                    == pickle.dumps(value))
+        assert store.sql("SELECT COUNT(*) FROM artifact_values") == \
+            [(len(run.values),)]
+
+    def test_failed_save_leaves_stored_run_intact(self, captured_run,
+                                                  registry):
+        workflow, run = captured_run
+        store = RelationalStore(store_values=True)
+        store.save_run(run)
+        before = store.load_run(run.id)
+        broken = dataclasses.replace(run, executions=[
+            dataclasses.replace(execution, id=run.executions[0].id)
+            for execution in run.executions])
+        with pytest.raises(sqlite3.IntegrityError):
+            store.save_run(broken)
+        # an unrelated write commits; the failed save must not ride along
+        store.save_workflow(ProspectiveProvenance.from_workflow(
+            workflow, registry))
+        _assert_same_run(store.load_run(run.id), before)
+        assert len(before.executions) == len(run.executions)
+        assert set(before.artifacts) == set(run.artifacts)
+
+    def test_load_run_statement_count_independent_of_size(self, registry):
+        counts = []
+        for length in (9, 399):
+            run = _captured(registry, build_chain_workflow(length, work=0))
+            assert len(run.executions) == length + 1
+            for store_values in (False, True):
+                store = RelationalStore(store_values=store_values)
+                store.save_run(run)
+                with _traced(store) as statements:
+                    store.load_run(run.id)
+                counts.append(len(statements))
+        assert counts[0] == counts[2] <= 4
+        assert counts[1] == counts[3] <= 5
+
+    def test_run_reads_and_deletes_use_indexes(self, captured_run):
+        _, run = captured_run
+        store = RelationalStore(store_values=True)
+        other = dataclasses.replace(run, id="run-other", executions=[
+            dataclasses.replace(execution, id=f"{execution.id}-other")
+            for execution in run.executions])
+        store.save_runs([run, other])
+        with _traced(store) as statements:
+            store.load_run(run.id)
+            store.load_runs([other.id, run.id])
+            assert store.delete_run(other.id)
+            store.save_run_stream(dataclasses.replace(
+                run, id="run-streamed", executions=[], artifacts={},
+                values={})).abort()
+        planned = [statement for statement in statements
+                   if statement.split(None, 1)[0].upper()
+                   in ("SELECT", "DELETE", "INSERT", "UPDATE")]
+        assert any("artifact_values" in statement for statement in planned)
+        scans = [(statement, detail) for statement in planned
+                 for *_, detail in store._connection.execute(
+                     "EXPLAIN QUERY PLAN " + statement)
+                 if detail.startswith("SCAN")]
+        assert scans == []
+        assert [summary.run_id for summary in store.list_runs()] == [run.id]
+
+    def test_load_run_matches_bulk_reader(self, registry, captured_run):
+        fig1 = build_fig1_workflow(size=6)
+        hist = module_by_name(fig1, "hist")
+        retried = _captured(registry, fig1, retry=RetryPolicy(max_attempts=2),
+                            fault_plan=FaultPlan().fail_module(hist.id))
+        assert any(execution.attempt for execution in retried.executions)
+        failing = _captured(registry, _failing_branch_workflow())
+        assert {"failed", "skipped"} <= {
+            execution.status for execution in failing.executions}
+        chain = _captured(registry, build_chain_workflow(3, work=0))
+        _, with_values = captured_run
+        store = RelationalStore(store_values=True)
+        store.save_runs([retried, failing, chain, with_values])
+        streamed = _captured(registry, build_chain_workflow(3, work=0))
+        writer = store.save_run_stream(dataclasses.replace(
+            streamed, executions=[], artifacts={}, values={}))
+        for artifact in streamed.artifacts.values():
+            writer.add_artifact(artifact,
+                                value=streamed.values.get(artifact.id))
+        for index, execution in enumerate(streamed.executions):
+            writer.add_execution(execution)
+            if index % 2:
+                writer.flush()
+        writer.finish(status=streamed.status, finished=streamed.finished,
+                      tags=streamed.tags)
+        runs = [retried, failing, chain, with_values, streamed]
+        bulk = store.load_runs([original.id for original in runs])
+        for original, from_bulk in zip(runs, bulk):
+            loaded = store.load_run(original.id)
+            _assert_same_run(loaded, store.load_runs([original.id])[0])
+            _assert_same_run(loaded, from_bulk)
+            assert [(e.id, e.status, e.attempt, e.input_artifacts(),
+                     e.output_artifacts()) for e in loaded.executions] == \
+                [(e.id, e.status, e.attempt, e.input_artifacts(),
+                  e.output_artifacts()) for e in original.executions]
+            assert loaded.artifacts == original.artifacts
+            assert set(loaded.values) == set(original.values)
+        assert store.load_run(with_values.id).values
+
+
+@contextlib.contextmanager
+def _traced(store):
+    """Collect the SQL statements ``store`` runs inside the block."""
+    statements = []
+    store._connection.set_trace_callback(statements.append)
+    try:
+        yield statements
+    finally:
+        store._connection.set_trace_callback(None)
+
+
+def _assert_same_run(first, second):
+    """Field-wise run equality; values compare by their pickled bytes
+    (numpy arrays do not support a plain ``==`` inside a dict)."""
+    assert dataclasses.replace(first, values={}) == \
+        dataclasses.replace(second, values={})
+    assert ({key: pickle.dumps(value) for key, value in first.values.items()}
+            == {key: pickle.dumps(value)
+                for key, value in second.values.items()})
+
+
+def _captured(registry, workflow, **executor_kwargs):
+    capture = ProvenanceCapture(registry=registry)
+    Executor(registry, listeners=[capture], **executor_kwargs).execute(
+        workflow)
+    return capture.last_run()
+
+
+def _failing_branch_workflow():
+    workflow = Workflow("failing-branch")
+    source = workflow.add_module(Module("Constant", name="src",
+                                        parameters={"value": 1}))
+    bad = workflow.add_module(Module("FailIf", name="bad",
+                                     parameters={"fail": True}))
+    after = workflow.add_module(Module("Identity", name="after"))
+    healthy = workflow.add_module(Module("Identity", name="healthy"))
+    workflow.connect(source.id, "value", bad.id, "value")
+    workflow.connect(bad.id, "value", after.id, "value")
+    workflow.connect(source.id, "value", healthy.id, "value")
+    return workflow
 
 
 class TestTripleStoreSpecifics:
